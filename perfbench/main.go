@@ -8,7 +8,7 @@
 //
 // Usage (from the repository root, through the wrapper that builds it):
 //
-//	bash perfbench/run.sh --workload rmat-2d --seed 1 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload rmat-2d --seed 1 --seconds 30 --trace 0
 //
 // With --trace 0 the metrics are the end-to-end figures; with
 // --trace 1 the run records spans around every layer call it makes,
@@ -23,6 +23,8 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -153,7 +155,7 @@ func main() {
 	var traceFlag int
 	flag.StringVar(&cfg.workload, "workload", "", "workload: rmat-2d, web-1d or serve-mixed")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "seed for the generated graph and traffic")
-	flag.IntVar(&cfg.seconds, "seconds", 20, "measured seconds")
+	flag.IntVar(&cfg.seconds, "seconds", 30, "measured seconds")
 	flag.IntVar(&traceFlag, "trace", 0, "1 records spans and reports per-layer metrics; 0 reports end-to-end metrics")
 	flag.Parse()
 	cfg.trace = traceFlag == 1
@@ -178,9 +180,15 @@ func main() {
 			rep.set(d.name, 0, d.unit)
 		}
 	}
+	total0, steal0, stealOK := cpuTicks()
 	if err := run(cfg, tr, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "perfbench: %s: %v\n", cfg.workload, err)
 		os.Exit(1)
+	}
+	if total1, steal1, ok := cpuTicks(); stealOK && ok && total1 > total0 {
+		// Time the hypervisor gave this machine's CPUs to others: on a
+		// shared host it slows every timed figure of the run alike.
+		note("host steal %.1f%% of CPU time during the run", 100*float64(steal1-steal0)/float64(total1-total0))
 	}
 	var runtimeStats runtime.MemStats
 	runtime.ReadMemStats(&runtimeStats)
@@ -205,6 +213,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: %d answers disagree with the serial oracle\n", rep.wrong)
 		os.Exit(1)
 	}
+}
+
+// cpuTicks returns the machine's total and stolen CPU ticks from the
+// aggregate line of /proc/stat; ok is false where that is unavailable.
+func cpuTicks() (total, steal uint64, ok bool) {
+	raw, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, 0, false
+	}
+	line, _, _ := strings.Cut(string(raw), "\n")
+	fields := strings.Fields(line)
+	// cpu user nice system idle iowait irq softirq steal ...
+	if len(fields) < 9 || fields[0] != "cpu" {
+		return 0, 0, false
+	}
+	for i, f := range fields[1:9] {
+		v, err := strconv.ParseUint(f, 10, 64)
+		if err != nil {
+			return 0, 0, false
+		}
+		total += v
+		if i == 7 {
+			steal = v
+		}
+	}
+	return total, steal, true
 }
 
 // summarizeSpans writes the spans out and prints self time per span

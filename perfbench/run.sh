@@ -2,7 +2,7 @@
 # Builds the repository benchmark from source and runs one workload.
 # Run it from the repository root:
 #
-#   bash perfbench/run.sh --workload rmat-2d --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload rmat-2d --seed 1 --seconds 30 --trace 0
 #
 # Build outputs, the Go build cache and span files stay under
 # .bench_build/ in the current directory.

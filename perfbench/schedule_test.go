@@ -3,7 +3,6 @@ package main
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 func testTraffic() traffic {
@@ -42,8 +41,8 @@ func TestScheduleShape(t *testing.T) {
 		switch ev.class {
 		case "interactive":
 			interactive++
-			if ev.deadline != 25*time.Millisecond || ev.noCache {
-				t.Fatalf("interactive event %+v: want a 25ms deadline and the cache", ev)
+			if ev.deadline != tr.deadline || ev.deadline == 0 || ev.noCache {
+				t.Fatalf("interactive event %+v: want a %v deadline and the cache", ev, tr.deadline)
 			}
 		case "batch":
 			bulk++
@@ -60,9 +59,10 @@ func TestScheduleShape(t *testing.T) {
 	if want := tr.bursts() * tr.burstSize; bulk != want {
 		t.Errorf("%d bulk events, want %d", bulk, want)
 	}
-	// Poisson at 100/s over 4s: 400 expected, sd 20.
-	if interactive < 300 || interactive > 500 {
-		t.Errorf("%d interactive events in 4s at 100/s", interactive)
+	// Poisson: rate × duration expected; allow five standard deviations.
+	want := tr.rate * tr.duration.Seconds()
+	if d := float64(interactive) - want; d*d > 25*want {
+		t.Errorf("%d interactive events in %v at %v/s, want about %.0f", interactive, tr.duration, tr.rate, want)
 	}
 	if dist == 0 || dist > len(evs)/8 {
 		t.Errorf("%d of %d events ask for distances, want about 1 in %d", dist, len(evs), tr.distEvery)
