@@ -2,7 +2,6 @@ package bfs1d
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -50,80 +49,49 @@ func Distribute(el *graph.EdgeList, p int) (*Graph, error) {
 	if err := pt.Validate(); err != nil {
 		return nil, err
 	}
-	for _, e := range el.Edges {
-		if e.U < 0 || e.U >= pt.N || e.V < 0 || e.V >= pt.N {
-			return nil, fmt.Errorf("bfs1d: edge (%d,%d) out of range", e.U, e.V)
-		}
+	csr, err := graph.BuildCSR(el, true)
+	if err != nil {
+		return nil, fmt.Errorf("bfs1d: %w", err)
 	}
-	g := &Graph{Part: pt, Locals: buildLocals(el, pt, false), el: el}
-	for _, lg := range g.Locals {
-		g.TotalAdj += lg.NumEdges()
-	}
-	return g, nil
+	return &Graph{Part: pt, Locals: carve(csr, pt), TotalAdj: csr.NumEdges(), el: el}, nil
 }
 
-// buildLocals constructs each rank's local CSR. With transpose false the
-// CSR stores out-edges of owned vertices (the top-down push structure);
-// with transpose true it stores in-edges (the bottom-up pull structure):
-// row v of rank Owner(v) holds the sources u of edges u -> v. For a
-// symmetrized edge list the two are identical by construction.
-func buildLocals(el *graph.EdgeList, pt Part1D, transpose bool) []*LocalGraph {
-	p := pt.P
-	locals := make([]*LocalGraph, p)
-
-	// Bucket edges by owner, then build each local CSR. Self-loops are
-	// dropped and duplicate adjacencies collapsed in both orientations.
-	buckets := make([][]graph.Edge, p)
-	for _, e := range el.Edges {
-		if transpose {
-			e = graph.Edge{U: e.V, V: e.U}
+// carve cuts a deduplicated CSR into the ranks' local graphs: rank r's
+// LocalGraph is the row range [Start(r), End(r)) with its row pointers
+// rebased, its adjacency a subslice of the CSR's.
+func carve(csr *graph.CSR, pt Part1D) []*LocalGraph {
+	locals := make([]*LocalGraph, pt.P)
+	for r := range locals {
+		rows := csr.XAdj[pt.Start(r) : pt.End(r)+1]
+		xadj := make([]int64, len(rows))
+		for i, x := range rows {
+			xadj[i] = x - rows[0]
 		}
-		o := pt.Owner(e.U)
-		buckets[o] = append(buckets[o], e)
-	}
-	for rank := 0; rank < p; rank++ {
-		nloc := pt.Count(rank)
-		start := pt.Start(rank)
-		lg := &LocalGraph{XAdj: make([]int64, nloc+1)}
-		es := buckets[rank]
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].U != es[j].U {
-				return es[i].U < es[j].U
-			}
-			return es[i].V < es[j].V
-		})
-		var prev graph.Edge
-		for i, e := range es {
-			if e.U == e.V {
-				continue // self-loop
-			}
-			if i > 0 && e == prev {
-				continue // duplicate
-			}
-			prev = e
-			lg.XAdj[e.U-start+1]++
-			lg.Adj = append(lg.Adj, e.V)
-		}
-		for i := int64(0); i < nloc; i++ {
-			lg.XAdj[i+1] += lg.XAdj[i]
-		}
-		locals[rank] = lg
+		lo, hi := rows[0], rows[len(rows)-1]
+		locals[r] = &LocalGraph{XAdj: xadj, Adj: csr.Adj[lo:hi:hi]}
 	}
 	return locals
 }
 
 // Ins returns the per-rank in-adjacency CSRs used by the bottom-up
 // phase, building them on first call (outside any timed region: like
-// Distribute itself, the pull structure is static per graph). For a
-// Symmetric graph the in-adjacency is the push CSR itself and no copy
-// is made. Safe for concurrent callers.
+// Distribute itself, the pull structure is static per graph). Row v of
+// rank Owner(v) holds the sources u of edges u -> v. For a Symmetric
+// graph the in-adjacency is the push CSR itself and no copy is made.
+// Safe for concurrent callers.
 func (g *Graph) Ins() []*LocalGraph {
 	g.inOnce.Do(func() {
 		if g.Symmetric {
 			g.ins = g.Locals
 			return
 		}
-		g.ins = buildLocals(g.el, g.Part, true)
+		rev := &graph.EdgeList{NumVerts: g.el.NumVerts, Edges: make([]graph.Edge, len(g.el.Edges))}
+		for i, e := range g.el.Edges {
+			rev.Edges[i] = graph.Edge{U: e.V, V: e.U}
+		}
+		// Distribute already range-checked these edges.
+		csr, _ := graph.BuildCSR(rev, true)
+		g.ins = carve(csr, g.Part)
 	})
 	return g.ins
 }

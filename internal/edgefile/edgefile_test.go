@@ -2,6 +2,7 @@ package edgefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,12 @@ func TestReadRejectsCorruption(t *testing.T) {
 			c[len(Magic)+7] = 0x80 // sign bit of the vertex count
 			return c
 		}},
+		{"huge edge count", func(b []byte) []byte {
+			// A 24-byte file: the header alone, declaring 2^58 edges.
+			c := clone(b)[:len(Magic)+16]
+			binary.LittleEndian.PutUint64(c[len(Magic)+8:], 1<<58)
+			return c
+		}},
 	}
 	for _, tc := range cases {
 		if _, err := Read(bytes.NewReader(tc.mutate(good))); err == nil {
@@ -118,4 +125,32 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzRead feeds arbitrary bytes to Read. It must never panic; a file it
+// accepts holds only in-range edges and writes back to the same bytes.
+func FuzzRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, &graph.EdgeList{NumVerts: 3, Edges: []graph.Edge{{U: 0, V: 1}, {U: 2, V: 2}}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		el, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, e := range el.Edges {
+			if e.U < 0 || e.U >= el.NumVerts || e.V < 0 || e.V >= el.NumVerts {
+				t.Fatalf("accepted out-of-range edge %v with %d vertices", e, el.NumVerts)
+			}
+		}
+		var out bytes.Buffer
+		if err := Write(&out, el); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("accepted %d bytes that write back as %d different bytes", len(data), out.Len())
+		}
+	})
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -68,6 +69,10 @@ type QueryResponse struct {
 	Parent []int64 `json:"parent,omitempty"`
 }
 
+// maxQueryBody bounds the bytes the handler reads of a /v1/query body;
+// a well-formed QueryRequest is well under 1 KiB.
+const maxQueryBody = 64 << 10
+
 // errorBody is the JSON envelope of every non-200 response.
 type errorBody struct {
 	Error string `json:"error"`
@@ -130,8 +135,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var qr QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&qr); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	q := Query{

@@ -186,9 +186,11 @@ type Response struct {
 	Occupancy int
 	Cached    bool
 	Coalesced bool
-	// QueueWait is admission-to-dispatch and Completed the completion
-	// instant, both on the server's clock; the deadline guarantee is
-	// !Completed.After(request.Deadline) for every served query.
+	// QueueWait runs from admission to completion (Completed minus the
+	// request's Enqueued stamp), so it includes the batch's execution;
+	// Completed is the completion instant. Both are on the server's
+	// clock; the deadline guarantee is !Completed.After(request.Deadline)
+	// for every served query.
 	QueueWait time.Duration
 	Completed time.Time
 	// SimTime is the query's amortized share of the batch's simulated

@@ -21,6 +21,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -348,6 +349,21 @@ func TestHTTPErrors(t *testing.T) {
 		bytes.NewReader([]byte("{not json"))); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad body status %d", r.StatusCode)
 	}
+	// An oversized body is cut off at maxQueryBody and answered 413
+	// with the error envelope.
+	huge := `{"source": 0, "class": "` + strings.Repeat("a", maxQueryBody) + `"}`
+	r, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(r.Body).Decode(&eb); err != nil || eb.Error == "" {
+		t.Errorf("oversized body: error envelope %+v, %v", eb, err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body status %d", r.StatusCode)
+	}
 	body, _ := json.Marshal(QueryRequest{Source: -1})
 	if r, _ := http.Post(ts.URL+"/query", "application/json",
 		bytes.NewReader(body)); r.StatusCode != http.StatusBadRequest {
@@ -360,7 +376,7 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	// Default class is "standard": a bare source serves fine.
 	body, _ = json.Marshal(QueryRequest{Source: 0})
-	r, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	r, err = http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil || r.StatusCode != http.StatusOK {
 		t.Fatalf("default class query: %v status %v", err, r)
 	}

@@ -1,6 +1,9 @@
 package spmat
 
 import (
+	"slices"
+
+	"repro/internal/graph"
 	"repro/internal/smp"
 	"repro/internal/spvec"
 )
@@ -17,48 +20,60 @@ type RowSplit struct {
 	Offsets    []int64 // strip s covers rows [Offsets[s], Offsets[s+1])
 }
 
-// NewRowSplit builds a t-strip row split from triples.
+// NewRowSplit builds a t-strip row split from triples. Duplicate
+// entries are collapsed.
 func NewRowSplit(rows, cols int64, ts []Triple, t int) (*RowSplit, error) {
+	g, err := columnCSR(rows, cols, ts)
+	if err != nil {
+		return nil, err
+	}
+	return SplitCSR(g, 0, cols, cols, rows, t), nil
+}
+
+// SplitCSR cuts a rows×cols block out of a graph.CSR built with dedup
+// and splits it into t row strips. Block column c is CSR row colLo+c;
+// its entries are that row's neighbours in [rowLo, rowLo+rows), rebased
+// to the strip. Neighbours are sorted, so a strip's share of a column
+// is one contiguous run, and filling the strips in row order consumes
+// each column's runs from a single cursor.
+func SplitCSR(g *graph.CSR, colLo, cols, rowLo, rows int64, t int) *RowSplit {
 	if t < 1 {
 		t = 1
 	}
 	if int64(t) > rows && rows > 0 {
 		t = int(rows)
 	}
-	if err := checkTriples(rows, cols, ts); err != nil {
-		return nil, err
-	}
-	rs := &RowSplit{Rows: rows, Cols: cols, Offsets: make([]int64, t+1)}
+	rs := &RowSplit{Rows: rows, Cols: cols, Strips: make([]*DCSC, t), Offsets: make([]int64, t+1)}
 	for s := 0; s <= t; s++ {
 		rs.Offsets[s] = int64(s) * rows / int64(t)
 	}
-	buckets := make([][]Triple, t)
-	for _, tr := range ts {
-		s := rs.stripOf(tr.Row)
-		buckets[s] = append(buckets[s], Triple{Row: tr.Row - rs.Offsets[s], Col: tr.Col})
+	// next[c] is the CSR position of column c's first entry not yet placed.
+	next := make([]int64, cols)
+	for c := range next {
+		k, _ := slices.BinarySearch(g.Neighbors(colLo+int64(c)), rowLo)
+		next[c] = g.XAdj[colLo+int64(c)] + int64(k)
 	}
-	rs.Strips = make([]*DCSC, t)
-	for s := 0; s < t; s++ {
-		d, err := NewDCSC(rs.Offsets[s+1]-rs.Offsets[s], cols, buckets[s])
-		if err != nil {
-			return nil, err
+	for s := range rs.Strips {
+		lo, hi := rowLo+rs.Offsets[s], rowLo+rs.Offsets[s+1]
+		d := &DCSC{Rows: hi - lo, Cols: cols, CP: []int64{0}}
+		for c, k := range next {
+			end, stop := k, g.XAdj[colLo+int64(c)+1]
+			for end < stop && g.Adj[end] < hi {
+				end++
+			}
+			if end == k {
+				continue
+			}
+			d.JC = append(d.JC, int64(c))
+			for _, r := range g.Adj[k:end] {
+				d.IR = append(d.IR, r-lo)
+			}
+			d.CP = append(d.CP, int64(len(d.IR)))
+			next[c] = end
 		}
 		rs.Strips[s] = d
 	}
-	return rs, nil
-}
-
-func (rs *RowSplit) stripOf(row int64) int {
-	t := int64(len(rs.Offsets) - 1)
-	s := row * t / rs.Rows
-	// Integer division of uneven strips can land one off; fix up.
-	for s > 0 && row < rs.Offsets[s] {
-		s--
-	}
-	for s+1 < t && row >= rs.Offsets[s+1] {
-		s++
-	}
-	return int(s)
+	return rs
 }
 
 // Work returns the number of nonzeros an SpMSV with frontier f would

@@ -18,7 +18,8 @@ package spmat
 
 import (
 	"fmt"
-	"sort"
+
+	"repro/internal/graph"
 )
 
 // Triple is a matrix nonzero at (Row, Col).
@@ -35,23 +36,14 @@ type CSC struct {
 
 // NewCSC builds a CSC from triples. Duplicate entries are collapsed.
 func NewCSC(rows, cols int64, ts []Triple) (*CSC, error) {
-	if err := checkTriples(rows, cols, ts); err != nil {
+	g, err := columnCSR(rows, cols, ts)
+	if err != nil {
 		return nil, err
 	}
-	sortTriples(ts)
-	colPtr := make([]int64, cols+1)
-	rowInd := make([]int64, 0, len(ts))
-	for i, t := range ts {
-		if i > 0 && t == ts[i-1] {
-			continue
-		}
-		colPtr[t.Col+1]++
-		rowInd = append(rowInd, t.Row)
+	for i := range g.Adj {
+		g.Adj[i] -= cols
 	}
-	for c := int64(0); c < cols; c++ {
-		colPtr[c+1] += colPtr[c]
-	}
-	return &CSC{Rows: rows, Cols: cols, ColPtr: colPtr, RowInd: rowInd}, nil
+	return &CSC{Rows: rows, Cols: cols, ColPtr: g.XAdj[:cols+1], RowInd: g.Adj}, nil
 }
 
 // NNZ returns the number of stored nonzeros.
@@ -74,23 +66,11 @@ type DCSC struct {
 
 // NewDCSC builds a DCSC from triples. Duplicate entries are collapsed.
 func NewDCSC(rows, cols int64, ts []Triple) (*DCSC, error) {
-	if err := checkTriples(rows, cols, ts); err != nil {
+	rs, err := NewRowSplit(rows, cols, ts, 1)
+	if err != nil {
 		return nil, err
 	}
-	sortTriples(ts)
-	m := &DCSC{Rows: rows, Cols: cols}
-	for i, t := range ts {
-		if i > 0 && t == ts[i-1] {
-			continue
-		}
-		if len(m.JC) == 0 || m.JC[len(m.JC)-1] != t.Col {
-			m.JC = append(m.JC, t.Col)
-			m.CP = append(m.CP, int64(len(m.IR)))
-		}
-		m.IR = append(m.IR, t.Row)
-	}
-	m.CP = append(m.CP, int64(len(m.IR)))
-	return m, nil
+	return rs.Strips[0], nil
 }
 
 // NNZ returns the number of stored nonzeros.
@@ -127,11 +107,17 @@ func checkTriples(rows, cols int64, ts []Triple) error {
 	return nil
 }
 
-func sortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Col != ts[j].Col {
-			return ts[i].Col < ts[j].Col
-		}
-		return ts[i].Row < ts[j].Row
-	})
+// columnCSR stores triples as a deduplicated graph.CSR whose row c
+// holds column c's row indices, sorted. Row r is numbered cols+r, after
+// the columns, so no entry is a self-loop and BuildCSR's dedup removes
+// exactly the repeated entries.
+func columnCSR(rows, cols int64, ts []Triple) (*graph.CSR, error) {
+	if err := checkTriples(rows, cols, ts); err != nil {
+		return nil, err
+	}
+	el := &graph.EdgeList{NumVerts: cols + rows, Edges: make([]graph.Edge, len(ts))}
+	for i, t := range ts {
+		el.Edges[i] = graph.Edge{U: t.Col, V: cols + t.Row}
+	}
+	return graph.BuildCSR(el, true)
 }

@@ -103,6 +103,15 @@ func TestBoundsChecked(t *testing.T) {
 	if _, err := NewCSC(4, 4, []Triple{{0, -1}}); err == nil {
 		t.Error("negative col accepted")
 	}
+	if _, err := NewRowSplit(4, 4, []Triple{{0, 4}}, 2); err == nil {
+		t.Error("col out of range accepted")
+	}
+	if _, err := NewSym(4, []Triple{{4, 1}}); err == nil {
+		t.Error("symmetric entry out of range accepted")
+	}
+	if _, err := NewSym(-1, nil); err == nil {
+		t.Error("negative dimension accepted")
+	}
 }
 
 func TestSpMSVFigure2(t *testing.T) {

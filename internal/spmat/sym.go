@@ -1,8 +1,7 @@
 package spmat
 
 import (
-	"fmt"
-
+	"repro/internal/graph"
 	"repro/internal/spvec"
 )
 
@@ -26,23 +25,18 @@ type Sym struct {
 // folded into the upper triangle ((r,c) with r > c becomes (c,r));
 // diagonal entries are discarded; duplicates collapse.
 func NewSym(dim int64, ts []Triple) (*Sym, error) {
-	if dim < 0 {
-		return nil, fmt.Errorf("spmat: negative dimension %d", dim)
+	// Stored column max(r,c) lists rows min(r,c); BuildCSR rejects a
+	// negative dim or out-of-range entry and drops the diagonal as
+	// self-loops.
+	el := &graph.EdgeList{NumVerts: dim, Edges: make([]graph.Edge, len(ts))}
+	for i, t := range ts {
+		el.Edges[i] = graph.Edge{U: max(t.Row, t.Col), V: min(t.Row, t.Col)}
 	}
-	upper := make([]Triple, 0, len(ts))
-	for _, t := range ts {
-		switch {
-		case t.Row < t.Col:
-			upper = append(upper, t)
-		case t.Row > t.Col:
-			upper = append(upper, Triple{Row: t.Col, Col: t.Row})
-		}
-	}
-	u, err := NewDCSC(dim, dim, upper)
+	g, err := graph.BuildCSR(el, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Sym{Dim: dim, U: u}, nil
+	return &Sym{Dim: dim, U: SplitCSR(g, 0, dim, 0, dim, 1).Strips[0]}, nil
 }
 
 // NNZ returns the number of stored (triangle) nonzeros; the represented

@@ -59,6 +59,18 @@ echo "== go test =="
 # for replay.
 go test -shuffle=on ./...
 
+echo "== perfbench module =="
+# perfbench is a module of its own (replace repro => ../), so the root
+# build and tests above never compile it, yet it calls graph.BuildCSR,
+# bfs1d.Distribute and bfs2d.Distribute directly.
+(cd perfbench && go vet ./... && go test ./...)
+
+echo "== fuzz smoke (edge-file reader) =="
+# A short run of edgefile.FuzzRead past its checked-in seed corpus
+# (internal/edgefile/testdata/fuzz/FuzzRead): hostile headers and
+# bodies must come back as errors, never panics or huge allocations.
+go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/edgefile
+
 echo "== race smoke (session reuse + collective substrate) =="
 # Small-scale race check over the paths where goroutine ranks, worker
 # pools, and cross-search arenas interlock: the session-reuse and
